@@ -18,8 +18,9 @@
 //!   trace once and sharing it across every cell, campaign and run;
 //! * [`Campaign`] — the engine: per-cell checkpointing to a [`Journal`]
 //!   so an interrupted campaign resumes without redoing completed cells,
-//!   with cells executed by the lock-free work-stealing executor
-//!   ([`ccsim_core::experiment::run_jobs`]); [`Campaign::plan`] predicts
+//!   with bands executed by a pipelined executor that reads the next
+//!   workload's trace while worker threads replay this one;
+//!   [`Campaign::plan`] predicts
 //!   a run cell-by-cell without simulating (`--dry-run`);
 //! * [`CampaignReport`] — deterministic JSON / CSV / pretty-table output:
 //!   same spec and seed, byte-identical report, interrupted or not —

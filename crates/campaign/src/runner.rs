@@ -1,9 +1,13 @@
 //! The campaign engine: grid expansion, cached trace acquisition,
-//! work-stealing execution and journaled checkpointing.
+//! pipelined band execution and journaled checkpointing.
 
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::BufReader;
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
 use ccsim_core::experiment::run_jobs;
 use ccsim_core::{
@@ -30,17 +34,17 @@ fn ingest_options_for(selector: &str) -> IngestOptions {
 ///
 /// Synthetic workloads are generated (or cache-read) into memory — they
 /// are bounded by construction. External `trace:` selectors stay **on
-/// disk**: each cell streams the converted `CCTR` file through
-/// [`simulate_stream`], so a multi-gigabyte ingested trace never
-/// materializes no matter how many (policy × config) cells replay it.
+/// disk**: every replay job streams the converted `CCTR` file, so a
+/// multi-gigabyte ingested trace never materializes no matter how many
+/// (policy × config) cells replay it.
 ///
 /// This is the workload-band granularity the campaign runner and the
 /// distributed worker (`ccsim-dist`) build on: acquire a workload once
 /// via [`Campaign::acquire`], then run all its pending (config × policy)
-/// cells in one pass with [`AcquiredTrace::simulate_cells`] — each cell
-/// is still journaled individually, so kill/resume and lease semantics
-/// are per cell. [`AcquiredTrace::simulate_cell`] remains as the
-/// per-cell escape hatch (`ccsim campaign --per-cell`).
+/// cells with [`AcquiredTrace::simulate_cells`] — each cell is still
+/// journaled individually, so kill/resume and lease semantics are per
+/// cell. [`AcquiredTrace::simulate_cell`] is the independent per-cell
+/// replay that cross-checks the grid driver.
 ///
 /// The internals stay private: one-shot conversions delete their file
 /// when the handle drops, a contract callers must not be able to point
@@ -50,10 +54,11 @@ pub struct AcquiredTrace(Acquired);
 
 #[derive(Debug)]
 enum Acquired {
-    /// Resident trace, replayed with [`simulate`].
+    /// Resident trace, replayed from memory.
     InMemory(Trace),
-    /// On-disk `CCTR` file, streamed per cell. `temp` marks a one-shot
-    /// conversion (no cache attached) deleted when the handle drops.
+    /// On-disk `CCTR` file, streamed once per replay job. `temp` marks a
+    /// one-shot conversion (no cache attached) deleted when the handle
+    /// drops.
     Streamed { path: PathBuf, records: u64, temp: bool },
 }
 
@@ -71,7 +76,9 @@ impl AcquiredTrace {
         matches!(self.0, Acquired::Streamed { .. })
     }
 
-    /// Runs one grid cell over this trace.
+    /// Runs one grid cell over this trace with the independent per-cell
+    /// replay ([`simulate`] / [`simulate_stream`]), outside the lockstep
+    /// grid driver.
     ///
     /// # Errors
     ///
@@ -83,32 +90,32 @@ impl AcquiredTrace {
     ) -> Result<SimResult, String> {
         match &self.0 {
             Acquired::InMemory(trace) => Ok(simulate(trace, config, policy)),
-            Acquired::Streamed { path, .. } => {
-                let file = File::open(path)
-                    .map_err(|e| format!("opening trace {}: {e}", path.display()))?;
-                let reader = TraceReader::new(BufReader::new(file))
-                    .map_err(|e| format!("decoding trace {}: {e}", path.display()))?;
-                simulate_stream(reader, config, policy)
-                    .map_err(|e| format!("streaming trace {}: {e}", path.display()))
-            }
+            Acquired::Streamed { path, .. } => simulate_stream(open_cctr(path)?, config, policy)
+                .map_err(|e| format!("streaming trace {}: {e}", path.display())),
         }
     }
 
-    /// Runs a whole band of grid cells over this trace in one pass per
-    /// shard: the cells are split into `min(threads, cells)` shards, and
-    /// each shard replays the trace **once**, advancing all its cells in
-    /// lockstep ([`ccsim_core::GridReplay`]) — a streamed multi-gigabyte
-    /// trace is read and decoded `threads` times instead of once per
-    /// cell. Cells are ordered by descending LLC capacity (the dominant
-    /// cost proxy — a scaled-up LLC means proportionally more tag state
-    /// and victim work) and dealt round-robin across shards, so one
-    /// shard never inherits all the giant-LLC cells of a heterogeneous
-    /// band. Results come back in `cells` order and are bit-identical to
+    /// Runs a whole band of grid cells over this trace and returns the
+    /// results in `cells` order, bit-identical to
     /// [`AcquiredTrace::simulate_cell`] per cell (each cell's engine is
-    /// independent, so shard assignment never affects results).
+    /// independent, so the job split never affects results).
     ///
-    /// `chunk_records` is the lockstep chunk length per shard; `0`
-    /// autotunes it against the shard's combined tag-state footprint
+    /// The band is split into jobs, each one [`ccsim_core::GridReplay`]
+    /// pass, claimed by `threads` workers:
+    /// - an **in-memory** trace gives one job per cell, so no worker
+    ///   idles at the tail of an uneven split;
+    /// - a **streamed** trace gives `min(threads, cells)` lockstep
+    ///   shards, so a multi-gigabyte file is read and decoded once per
+    ///   shard instead of once per cell.
+    ///
+    /// Jobs take cells in descending LLC capacity (the dominant cost
+    /// proxy: a scaled-up LLC means proportionally more tag state and
+    /// victim work), so the costliest cells start first and shards are
+    /// dealt round-robin from that order. This is the same split
+    /// [`Campaign::run`] pipelines across bands.
+    ///
+    /// `chunk_records` is the lockstep chunk length per job; `0`
+    /// autotunes it against the job's combined tag-state footprint
     /// ([`ccsim_core::autotune_chunk_records`]).
     ///
     /// # Errors
@@ -121,44 +128,79 @@ impl AcquiredTrace {
         threads: usize,
         chunk_records: usize,
     ) -> Result<Vec<SimResult>, String> {
-        if cells.is_empty() {
-            return Ok(Vec::new());
-        }
-        let shards = threads.clamp(1, cells.len());
-        let mut order: Vec<usize> = (0..cells.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(cells[i].0.llc.capacity_bytes()));
-        let assignment: Vec<Vec<usize>> =
-            (0..shards).map(|s| order[s..].iter().step_by(shards).copied().collect()).collect();
-        let shard_results = run_jobs(shards, shards, |s| {
-            let shard: Vec<(SimConfig, PolicyKind)> =
-                assignment[s].iter().map(|&i| cells[i]).collect();
-            match &self.0 {
-                Acquired::InMemory(trace) => Ok(simulate_grid(trace, &shard, chunk_records)),
-                Acquired::Streamed { path, .. } => {
-                    let file = File::open(path)
-                        .map_err(|e| format!("opening trace {}: {e}", path.display()))?;
-                    let reader = TraceReader::new(BufReader::new(file))
-                        .map_err(|e| format!("decoding trace {}: {e}", path.display()))?;
-                    simulate_grid_stream(reader, &shard, chunk_records)
-                        .map_err(|e| format!("streaming trace {}: {e}", path.display()))
-                }
-            }
-        });
-        // Scatter shard results back into `cells` order.
-        let mut results: Vec<Option<SimResult>> = (0..cells.len()).map(|_| None).collect();
-        for (indices, shard) in assignment.iter().zip(shard_results) {
-            for (&cell, result) in indices.iter().zip(shard?) {
-                results[cell] = Some(result);
-            }
-        }
-        Ok(results.into_iter().map(|r| r.expect("every cell lands in exactly one shard")).collect())
+        let jobs = self.band_jobs(cells, threads, false);
+        let outs =
+            run_jobs(jobs.len(), threads.max(1), |j| self.run_job(cells, &jobs[j], chunk_records));
+        Ok(scatter(&jobs, outs.into_iter().collect::<Result<Vec<_>, _>>()?))
     }
 
     /// Trace passes [`AcquiredTrace::simulate_cells`] makes for a band
-    /// of `cells` at the given parallelism (for progress lines).
+    /// of `cells` at the given parallelism (for progress lines): one per
+    /// cell in memory, one per lockstep shard when streamed.
     pub fn passes_for(&self, cells: usize, threads: usize) -> usize {
-        threads.clamp(1, cells.max(1))
+        self.job_count(cells, threads, false)
     }
+
+    /// How many jobs a band of `cells` splits into; `per_cell` forces one
+    /// job per cell for streamed traces too (`ccsim campaign --per-cell`).
+    fn job_count(&self, cells: usize, threads: usize, per_cell: bool) -> usize {
+        if self.is_streamed() && !per_cell {
+            threads.max(1).min(cells)
+        } else {
+            cells
+        }
+    }
+
+    /// The band's jobs as cell indices: cells in descending LLC capacity,
+    /// dealt round-robin across [`AcquiredTrace::job_count`] jobs (with
+    /// one job per cell, job order is simply that cost order).
+    fn band_jobs(
+        &self,
+        cells: &[(SimConfig, PolicyKind)],
+        threads: usize,
+        per_cell: bool,
+    ) -> Vec<Vec<usize>> {
+        let jobs = self.job_count(cells.len(), threads, per_cell);
+        let mut order: Vec<usize> = (0..cells.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(cells[i].0.llc.capacity_bytes()));
+        (0..jobs).map(|j| order[j..].iter().step_by(jobs).copied().collect()).collect()
+    }
+
+    /// Replays one job (the `job` cells of `cells`) in one lockstep pass;
+    /// results in `job` order.
+    fn run_job(
+        &self,
+        cells: &[(SimConfig, PolicyKind)],
+        job: &[usize],
+        chunk_records: usize,
+    ) -> Result<Vec<SimResult>, String> {
+        let shard: Vec<(SimConfig, PolicyKind)> = job.iter().map(|&i| cells[i]).collect();
+        match &self.0 {
+            Acquired::InMemory(trace) => Ok(simulate_grid(trace, &shard, chunk_records)),
+            Acquired::Streamed { path, .. } => {
+                simulate_grid_stream(open_cctr(path)?, &shard, chunk_records)
+                    .map_err(|e| format!("streaming trace {}: {e}", path.display()))
+            }
+        }
+    }
+}
+
+/// Puts per-job results back into cell order.
+fn scatter(jobs: &[Vec<usize>], outs: Vec<Vec<SimResult>>) -> Vec<SimResult> {
+    let mut results: Vec<Option<SimResult>> = vec![None; jobs.iter().map(Vec::len).sum()];
+    for (job, out) in jobs.iter().zip(outs) {
+        for (&cell, result) in job.iter().zip(out) {
+            results[cell] = Some(result);
+        }
+    }
+    results.into_iter().map(|r| r.expect("every cell lands in exactly one job")).collect()
+}
+
+/// Opens a `CCTR` file for streaming.
+fn open_cctr(path: &Path) -> Result<TraceReader<BufReader<File>>, String> {
+    let file = File::open(path).map_err(|e| format!("opening trace {}: {e}", path.display()))?;
+    TraceReader::new(BufReader::new(file))
+        .map_err(|e| format!("decoding trace {}: {e}", path.display()))
 }
 
 impl Drop for AcquiredTrace {
@@ -241,14 +283,15 @@ pub fn record_band_metrics(cells: u64, records_simulated: u64, band_ns: u64) {
 /// A configured, runnable campaign.
 ///
 /// Traces are acquired per workload (via the [`TraceCache`] when one is
-/// attached, regenerated otherwise) and dropped as soon as the workload's
-/// cells finish, so at most one trace is alive at a time — the memory
-/// profile of the old streaming figure binaries. Within a workload, all
-/// pending (policy x config) cells advance in lockstep through one pass
-/// over the trace per thread shard ([`AcquiredTrace::simulate_cells`]);
-/// [`Campaign::per_cell`] falls back to one independent pass per cell on
-/// the work-stealing executor ([`run_jobs`]). The two paths produce
-/// bit-identical reports.
+/// attached, regenerated otherwise) on the calling thread, in grid
+/// order, while worker threads replay the band before it: at most two
+/// traces are alive at a time, and each is dropped as soon as its band
+/// is committed. Every band is split into replay jobs as in
+/// [`AcquiredTrace::simulate_cells`] (one per cell in memory, one per
+/// lockstep shard when streamed); [`Campaign::per_cell`] gives streamed
+/// bands one job per cell too. Bands are journaled in grid order, so
+/// reports and journals are byte-identical at any thread count and in
+/// either mode.
 ///
 /// # Examples
 ///
@@ -499,9 +542,9 @@ impl Campaign {
     }
 
     /// Replays each pending cell with its own pass over the trace
-    /// (`ccsim campaign --per-cell`) instead of the default one-pass
-    /// lockstep grid driver. The two paths produce bit-identical
-    /// reports; this is an escape hatch for comparison and debugging.
+    /// (`ccsim campaign --per-cell`) instead of one pass per lockstep
+    /// shard. Only streamed bands change shape (in-memory bands already
+    /// run one job per cell); reports are bit-identical either way.
     pub fn per_cell(mut self, per_cell: bool) -> Campaign {
         self.per_cell = per_cell;
         self
@@ -740,53 +783,71 @@ impl Campaign {
 
         let mut completed: std::collections::BTreeMap<String, SimResult> =
             journal.as_ref().map(|j| j.completed().clone()).unwrap_or_default();
-        let mut cells_resumed = 0usize;
-        for (wi, workload) in grid.workloads.iter().enumerate() {
-            let cells: Vec<&GridCell> = grid.cells_of(workload).collect();
-            let pending: Vec<&&GridCell> =
-                cells.iter().filter(|c| !completed.contains_key(&c.id)).collect();
-            cells_resumed += cells.len() - pending.len();
+        // Every workload is a band of the pipeline, fully journaled ones
+        // too (no trace, no jobs), so all band events keep grid order.
+        let bands: Vec<(&str, usize, Vec<&GridCell>)> = grid
+            .workloads
+            .iter()
+            .map(|w| {
+                let pending = grid.cells_of(w).filter(|c| !completed.contains_key(&c.id));
+                (w.as_str(), grid.cells_of(w).count(), pending.collect())
+            })
+            .collect();
+        let cells_resumed = bands.iter().map(|(_, total, pending)| total - pending.len()).sum();
 
-            if !pending.is_empty() {
-                if let Some(o) = obs.as_mut() {
-                    o.event(
-                        "band_start",
-                        &[
-                            ("workload", ccsim_obs::Field::Str(workload)),
-                            ("cells", ccsim_obs::Field::U64(pending.len() as u64)),
-                        ],
-                    );
-                }
+        run_pipelined(
+            bands.len(),
+            self.threads,
+            |b| {
+                let (workload, _, pending) = &bands[b];
+                let cells: Vec<(SimConfig, PolicyKind)> =
+                    pending.iter().map(|c| (grid.configs[c.config_index].1, c.policy)).collect();
                 // Acquire the trace only when at least one cell needs it:
                 // a fully-journaled workload costs no generation at all.
-                let trace = self.acquire(workload)?;
-                let band_start = std::time::Instant::now();
-                let results: Vec<Result<SimResult, String>> = if self.per_cell {
-                    run_jobs(pending.len(), self.threads, |i| {
-                        let cell = pending[i];
-                        trace.simulate_cell(&grid.configs[cell.config_index].1, cell.policy)
-                    })
-                } else {
-                    let band: Vec<(SimConfig, PolicyKind)> = pending
-                        .iter()
-                        .map(|cell| (grid.configs[cell.config_index].1, cell.policy))
-                        .collect();
-                    trace
-                        .simulate_cells(&band, self.threads, self.chunk_records)?
-                        .into_iter()
-                        .map(Ok)
-                        .collect()
+                let trace = if cells.is_empty() { None } else { Some(self.acquire(workload)?) };
+                let jobs = trace
+                    .as_ref()
+                    .map_or_else(Vec::new, |t| t.band_jobs(&cells, self.threads, self.per_cell));
+                let count = jobs.len();
+                Ok((Band { trace, cells, jobs }, count))
+            },
+            |band, j| {
+                let trace = band.trace.as_ref().expect("a band with jobs holds its trace");
+                trace.run_job(&band.cells, &band.jobs[j], self.chunk_records)
+            },
+            |b, band, outs, band_ns| {
+                let (workload, total, pending) = &bands[b];
+                let progress = format!("[{}/{}] {workload:<16}", b + 1, bands.len());
+                let Some(trace) = &band.trace else {
+                    if let Some(o) = obs.as_mut() {
+                        o.event(
+                            "band_resumed",
+                            &[
+                                ("workload", ccsim_obs::Field::Str(workload)),
+                                ("cells", ccsim_obs::Field::U64(*total as u64)),
+                            ],
+                        );
+                    }
+                    if self.verbose {
+                        eprintln!("{progress} resumed from journal");
+                    }
+                    return Ok(());
                 };
-                let band_ns = band_start.elapsed().as_nanos() as u64;
-                let records_simulated = trace.records() * pending.len() as u64;
-                record_band_metrics(pending.len() as u64, records_simulated, band_ns);
+                let cells = pending.len() as u64;
+                let records_simulated = trace.records() * cells;
+                record_band_metrics(cells, records_simulated, band_ns);
                 if let Some(o) = obs.as_mut() {
-                    o.add_band(pending.len() as u64, records_simulated, band_ns);
+                    let band_fields = [
+                        ("workload", ccsim_obs::Field::Str(workload)),
+                        ("cells", ccsim_obs::Field::U64(cells)),
+                    ];
+                    o.event("band_start", &band_fields);
+                    o.add_band(cells, records_simulated, band_ns);
                     o.event(
                         "band_done",
                         &[
-                            ("workload", ccsim_obs::Field::Str(workload)),
-                            ("cells", ccsim_obs::Field::U64(pending.len() as u64)),
+                            band_fields[0],
+                            band_fields[1],
                             ("trace_records", ccsim_obs::Field::U64(trace.records())),
                             ("sim_ns", ccsim_obs::Field::U64(band_ns)),
                             ("streamed", ccsim_obs::Field::Bool(trace.is_streamed())),
@@ -795,49 +856,22 @@ impl Campaign {
                     let _ = o.write_manifest();
                 }
                 if self.verbose {
-                    let passes = if self.per_cell {
-                        pending.len()
-                    } else {
-                        trace.passes_for(pending.len(), self.threads)
-                    };
                     eprintln!(
-                        "[{}/{}] {:<16} {} records, {} cells in {} pass(es){}",
-                        wi + 1,
-                        grid.workloads.len(),
-                        workload,
+                        "{progress} {} records, {cells} cells in {} pass(es){}",
                         trace.records(),
-                        pending.len(),
-                        passes,
+                        band.jobs.len(),
                         if trace.is_streamed() { " (streamed)" } else { "" }
                     );
                 }
-                for (cell, result) in pending.iter().zip(results) {
-                    let result = result?;
+                for (cell, result) in pending.iter().zip(scatter(&band.jobs, outs)) {
                     if let Some(j) = journal.as_mut() {
                         j.record(&cell.id, &result).map_err(|e| format!("writing journal: {e}"))?;
                     }
                     completed.insert(cell.id.clone(), result);
                 }
-            } else {
-                if let Some(o) = obs.as_mut() {
-                    o.event(
-                        "band_resumed",
-                        &[
-                            ("workload", ccsim_obs::Field::Str(workload)),
-                            ("cells", ccsim_obs::Field::U64(cells.len() as u64)),
-                        ],
-                    );
-                }
-                if self.verbose {
-                    eprintln!(
-                        "[{}/{}] {:<16} resumed from journal",
-                        wi + 1,
-                        grid.workloads.len(),
-                        workload
-                    );
-                }
-            }
-        }
+                Ok(())
+            },
+        )?;
 
         ccsim_obs::metrics().campaign_runs.inc();
         if let Some(o) = obs.take() {
@@ -854,6 +888,228 @@ impl Campaign {
             cache_misses: self.cache.as_ref().map_or(0, TraceCache::misses),
         })
     }
+}
+
+/// One band of [`Campaign::run`]'s pipeline: a workload's pending cells,
+/// its trace and its replay jobs (no trace and no jobs when the journal
+/// already holds every cell).
+struct Band {
+    trace: Option<AcquiredTrace>,
+    cells: Vec<(SimConfig, PolicyKind)>,
+    jobs: Vec<Vec<usize>>,
+}
+
+/// Bands [`run_pipelined`] keeps acquired at once: the oldest unfinished
+/// band and the next one.
+const LIVE_BANDS: usize = 2;
+
+/// An acquired, uncommitted band inside [`run_pipelined`].
+struct LiveBand<B, R> {
+    index: usize,
+    band: Arc<B>,
+    claimed: usize,
+    finished: usize,
+    /// One slot per job.
+    results: Vec<Option<R>>,
+    ready: Instant,
+    sim_ns: u64,
+}
+
+/// State the committing thread and the workers of [`run_pipelined`] share.
+struct Pipeline<B, R> {
+    live: VecDeque<LiveBand<B, R>>,
+    /// No job of this band or a later one starts: the lowest-indexed band
+    /// that failed (`usize::MAX` while none has).
+    stop: usize,
+    error: Option<String>,
+    /// No band will be added: every band is acquired, or the committing
+    /// thread has returned. A worker that then finds nothing to claim
+    /// exits at once, as [`run_jobs`] workers do, instead of waiting for
+    /// the run to end; with workers spawned at the first job, this keeps
+    /// each job on the same malloc arena from run to run.
+    closed: bool,
+}
+
+impl<B, R> Pipeline<B, R> {
+    fn fail(&mut self, band: usize, error: String) {
+        if band < self.stop {
+            self.stop = band;
+            self.error = Some(error);
+        }
+    }
+
+    /// Claims the next job of the oldest live band that has one.
+    fn claim(&mut self) -> Option<(usize, Arc<B>, usize)> {
+        let stop = self.stop;
+        let live = self
+            .live
+            .iter_mut()
+            .take_while(|l| l.index < stop)
+            .find(|l| l.claimed < l.results.len())?;
+        live.claimed += 1;
+        Some((live.index, Arc::clone(&live.band), live.claimed - 1))
+    }
+
+    /// Records the outcome of job `job` of band `index`.
+    fn finish(&mut self, index: usize, job: usize, out: Result<R, String>) {
+        let live = self
+            .live
+            .iter_mut()
+            .find(|l| l.index == index)
+            .expect("a band stays live until its jobs finish");
+        live.finished += 1;
+        if live.finished == live.results.len() {
+            live.sim_ns = live.ready.elapsed().as_nanos() as u64;
+        }
+        match out {
+            Ok(result) => live.results[job] = Some(result),
+            Err(error) => self.fail(index, error),
+        }
+    }
+}
+
+/// Closes the pipeline however the committing thread leaves
+/// [`run_pipelined`]: no further job starts and no worker waits forever.
+struct CloseOnDrop<'a, B, R>(&'a (Mutex<Pipeline<B, R>>, Condvar));
+
+impl<B, R> Drop for CloseOnDrop<'_, B, R> {
+    fn drop(&mut self) {
+        let (state, wake) = self.0;
+        let mut st = state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.closed = true;
+        st.stop = 0;
+        drop(st);
+        wake.notify_all();
+    }
+}
+
+/// The pipelined band executor behind [`Campaign::run`].
+///
+/// The calling thread acquires bands `0..bands` in order with `acquire`,
+/// which returns the band and its job count, and keeps at most
+/// [`LIVE_BANDS`] bands acquired and uncommitted: it acquires the next
+/// band while the workers replay this one. Acquisition stays on the
+/// calling thread so trace buffers are allocated and freed by one thread
+/// (on glibc, worker-side acquisition grew peak RSS through per-thread
+/// malloc arenas). `threads` workers claim jobs, oldest live band first,
+/// and run them with `run_job`. The calling thread commits each finished
+/// band in order with `commit`, passing the job results in job order and
+/// the nanoseconds from the band being acquired to its last job
+/// finishing.
+///
+/// On the first failure no further band is acquired and no job of the
+/// failing band or a later one starts; the bands before it still finish
+/// and are committed, then the failing band's error is returned. A commit
+/// error is returned at once. A panicking job fails its band and the
+/// panic propagates once the pipeline has stopped.
+fn run_pipelined<B, R>(
+    bands: usize,
+    threads: usize,
+    mut acquire: impl FnMut(usize) -> Result<(B, usize), String>,
+    run_job: impl Fn(&B, usize) -> Result<R, String> + Sync,
+    mut commit: impl FnMut(usize, &B, Vec<R>, u64) -> Result<(), String>,
+) -> Result<(), String>
+where
+    B: Send + Sync,
+    R: Send,
+{
+    let shared = (
+        Mutex::new(Pipeline {
+            live: VecDeque::new(),
+            stop: usize::MAX,
+            error: None,
+            closed: false,
+        }),
+        Condvar::new(),
+    );
+    let (state, wake) = &shared;
+    let lock = || state.lock().expect("pipeline lock");
+    let run_job = &run_job;
+    let worker = move || {
+        let mut st = lock();
+        loop {
+            let Some((index, band, job)) = st.claim() else {
+                if st.closed {
+                    return;
+                }
+                st = wake.wait(st).expect("pipeline lock");
+                continue;
+            };
+            drop(st);
+            let out = std::panic::catch_unwind(AssertUnwindSafe(|| run_job(&band, job)));
+            // The committing thread holds the last reference, so it is
+            // the one that frees the band.
+            drop(band);
+            st = lock();
+            match out {
+                Ok(out) => st.finish(index, job, out),
+                Err(panic) => {
+                    st.finish(index, job, Err("a replay job panicked".to_owned()));
+                    wake.notify_all();
+                    drop(st);
+                    std::panic::resume_unwind(panic);
+                }
+            }
+            wake.notify_all();
+        }
+    };
+    std::thread::scope(|scope| {
+        let _close = CloseOnDrop(&shared);
+        let (mut acquired, mut committed, mut spawned) = (0, 0, false);
+        loop {
+            let mut st = lock();
+            if acquired < bands.min(st.stop) && acquired - committed < LIVE_BANDS {
+                drop(st);
+                let out = acquire(acquired);
+                let mut st = lock();
+                let has_jobs = match out {
+                    Ok((band, jobs)) => {
+                        st.live.push_back(LiveBand {
+                            index: acquired,
+                            band: Arc::new(band),
+                            claimed: 0,
+                            finished: 0,
+                            results: (0..jobs).map(|_| None).collect(),
+                            ready: Instant::now(),
+                            sim_ns: 0,
+                        });
+                        jobs > 0
+                    }
+                    Err(error) => {
+                        st.fail(acquired, error);
+                        false
+                    }
+                };
+                acquired += 1;
+                st.closed = acquired == bands;
+                drop(st);
+                wake.notify_all();
+                // Workers start with the first job, so the first one
+                // spawned claims it, as with `run_jobs`: each job then
+                // meets the same malloc arena run after run, which keeps
+                // peak RSS from drifting.
+                if has_jobs && !spawned {
+                    (0..threads.max(1)).for_each(|_| drop(scope.spawn(worker)));
+                    spawned = true;
+                }
+                continue;
+            }
+            // Wait for the oldest band to finish or be cut off by a failure.
+            while st.live.front().is_some_and(|l| l.index < st.stop && l.finished < l.results.len())
+            {
+                st = wake.wait(st).expect("pipeline lock");
+            }
+            if st.live.front().is_none_or(|l| l.index >= st.stop) {
+                return st.error.take().map_or(Ok(()), Err);
+            }
+            let live = st.live.pop_front().expect("checked above");
+            drop(st);
+            let results =
+                live.results.into_iter().map(|r| r.expect("a finished job left its result"));
+            commit(live.index, &live.band, results.collect(), live.sim_ns)?;
+            committed += 1;
+        }
+    })
 }
 
 #[cfg(test)]
@@ -894,60 +1150,219 @@ mod tests {
         );
     }
 
-    #[test]
-    fn parallel_run_equals_serial_run() {
-        let serial = Campaign::new(tiny_spec()).threads(1).run().unwrap();
-        let parallel = Campaign::new(tiny_spec()).threads(8).run().unwrap();
-        assert_eq!(serial.report, parallel.report);
-    }
-
-    #[test]
-    fn one_pass_run_equals_per_cell_run() {
-        let one_pass = Campaign::new(tiny_spec()).threads(3).run().unwrap();
-        let per_cell = Campaign::new(tiny_spec()).threads(3).per_cell(true).run().unwrap();
-        assert_eq!(one_pass.report, per_cell.report);
-        // An explicit chunk length changes batching mechanics only —
-        // report bytes must not move.
-        let chunked = Campaign::new(tiny_spec()).threads(3).chunk_records(17).run().unwrap();
-        assert_eq!(one_pass.report, chunked.report);
-    }
-
-    #[test]
-    fn simulate_cells_matches_simulate_cell_for_any_shard_count() {
-        let campaign = Campaign::new(tiny_spec());
-        let grid = campaign.grid().unwrap();
-        let trace = campaign.acquire("xsbench.small").unwrap();
-        let band: Vec<(SimConfig, PolicyKind)> =
-            grid.cells.iter().map(|c| (grid.configs[c.config_index].1, c.policy)).collect();
-        let reference: Vec<SimResult> =
-            band.iter().map(|(cfg, policy)| trace.simulate_cell(cfg, *policy).unwrap()).collect();
-        for threads in [1, 2, 3, 16] {
-            assert_eq!(trace.simulate_cells(&band, threads, 0).unwrap(), reference, "{threads}");
-            assert!(trace.passes_for(band.len(), threads) <= band.len());
+    /// Writes a ChampSim trace of `pairs` (non-memory, load) instruction
+    /// pairs over 32 blocks to `path`.
+    fn write_champsim(path: &Path, pairs: u64) {
+        use ccsim_ingest::champsim::{ChampSimRecord, ChampSimWriter};
+        let mut w = ChampSimWriter::new(std::fs::File::create(path).unwrap());
+        for i in 0..pairs {
+            w.write(&ChampSimRecord::nonmem(0x400 + 4 * i)).unwrap();
+            w.write(&ChampSimRecord::load(0x600 + 4 * i, 0x10000 + 64 * (i % 32))).unwrap();
         }
-        assert!(trace.simulate_cells(&[], 4, 0).unwrap().is_empty());
     }
 
-    #[test]
-    fn heterogeneous_band_balancing_preserves_cell_order_and_results() {
-        // A band mixing LLC scales 1/2/4 across policies: balancing
-        // orders cells by descending LLC capacity and deals them
-        // round-robin, so every shard gets at most one more giant-LLC
-        // cell than any other — and the scatter must restore results to
-        // `cells` order exactly.
-        let campaign = Campaign::new(tiny_spec());
-        let trace = campaign.acquire("xsbench.small").unwrap();
+    /// A band mixing LLC scales 1/2/4 across two policies.
+    fn heterogeneous_band() -> Vec<(SimConfig, PolicyKind)> {
         let mut band = Vec::new();
         for scale in [4u32, 1, 2, 1, 4, 2, 1] {
             for policy in [PolicyKind::Lru, PolicyKind::Mpppb] {
                 band.push((SimConfig::tiny().with_llc_scale(scale), policy));
             }
         }
-        let reference: Vec<SimResult> =
-            band.iter().map(|(cfg, policy)| trace.simulate_cell(cfg, *policy).unwrap()).collect();
-        for threads in [1, 2, 3, 5, 14, 100] {
-            assert_eq!(trace.simulate_cells(&band, threads, 0).unwrap(), reference, "{threads}");
+        band
+    }
+
+    #[test]
+    fn simulate_cells_matches_simulate_cell_for_both_job_shapes() {
+        // In memory: one job per cell. Streamed: min(threads, cells)
+        // lockstep shards dealt round-robin in descending LLC capacity.
+        // Either way the scatter must restore results to `cells` order
+        // exactly, bit-identical to the independent per-cell replay.
+        let dir = temp_dir("job_shapes");
+        let source = dir.join("mini.champsim");
+        write_champsim(&source, 300);
+        let campaign = Campaign::new(tiny_spec());
+        let band = heterogeneous_band();
+        for workload in ["xsbench.small".to_owned(), format!("trace:{}", source.display())] {
+            let trace = campaign.acquire(&workload).unwrap();
+            let reference: Vec<SimResult> = band
+                .iter()
+                .map(|(cfg, policy)| trace.simulate_cell(cfg, *policy).unwrap())
+                .collect();
+            for threads in [1, 2, 3, 5, 14, 100] {
+                let results = trace.simulate_cells(&band, threads, 0).unwrap();
+                assert_eq!(results, reference, "{workload} at {threads} threads");
+                let passes = if trace.is_streamed() { threads.min(band.len()) } else { band.len() };
+                assert_eq!(trace.passes_for(band.len(), threads), passes, "{workload}");
+            }
+            assert!(trace.simulate_cells(&[], 4, 0).unwrap().is_empty());
         }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A three-band spec: in memory, streamed, in memory.
+    fn three_band_spec(source: &Path) -> CampaignSpec {
+        CampaignSpec::from_json_str(&format!(
+            r#"{{"name": "pipe", "base_config": "tiny",
+                 "workloads": ["xsbench.small", "trace:{}", "spec.hotcold"],
+                 "policies": ["lru", "srrip", "ship"], "llc_scales": [1, 2]}}"#,
+            source.display()
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn reports_and_journals_are_byte_identical_at_any_thread_count_and_job_shape() {
+        let dir = temp_dir("byte_identical");
+        let source = dir.join("mini.champsim");
+        write_champsim(&source, 300);
+        let spec = three_band_spec(&source);
+        let run = |tag: &str, campaign: Campaign| {
+            let journal = dir.join(format!("{tag}.jsonl"));
+            let outcome = campaign.journal(&journal).run().unwrap();
+            (outcome.report.to_json_string(), std::fs::read_to_string(&journal).unwrap())
+        };
+        let (report, journal) = run("t1", Campaign::new(spec.clone()).threads(1));
+        // The journal holds every cell once, in grid order.
+        let grid = Campaign::new(spec.clone()).grid().unwrap();
+        let ids: Vec<String> =
+            grid.cells.iter().map(|c| format!("{{\"cell\":\"{}\",", c.id)).collect();
+        let lines: Vec<&str> = journal.lines().skip(1).collect();
+        assert_eq!(lines.len(), ids.len(), "{journal}");
+        for (line, id) in lines.iter().zip(&ids) {
+            assert!(line.starts_with(id.as_str()), "{line} is not {id}");
+        }
+        for threads in [2, 3, 8] {
+            let out = run(&format!("t{threads}"), Campaign::new(spec.clone()).threads(threads));
+            assert!(out == (report.clone(), journal.clone()), "{threads} threads");
+        }
+        let per_cell = run("per_cell", Campaign::new(spec.clone()).threads(3).per_cell(true));
+        assert!(per_cell == (report.clone(), journal.clone()), "--per-cell");
+        // An explicit chunk length changes batching mechanics only.
+        let chunked = run("chunked", Campaign::new(spec).threads(3).chunk_records(17));
+        assert!(chunked == (report, journal), "--chunk-records 17");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failing_band_keeps_earlier_bands_journaled_and_resume_runs_the_rest() {
+        let dir = temp_dir("fail_resume");
+        let source = dir.join("late.champsim");
+        let spec = CampaignSpec::from_json_str(&format!(
+            r#"{{"name": "fail", "base_config": "tiny",
+                 "workloads": ["xsbench.small", "trace:{}"],
+                 "policies": ["lru", "srrip"], "llc_scales": [1, 2]}}"#,
+            source.display()
+        ))
+        .unwrap();
+        let journal = dir.join("journal.jsonl");
+        let err = Campaign::new(spec.clone()).threads(2).journal(&journal).run().unwrap_err();
+        assert!(err.contains(&source.display().to_string()), "{err}");
+        let journaled = Journal::peek_completed(&journal, &spec.name, &spec.digest());
+        let first: Vec<&str> = journaled.keys().map(String::as_str).collect();
+        assert_eq!(
+            first,
+            [
+                "xsbench.small|llc_x1|lru",
+                "xsbench.small|llc_x1|srrip",
+                "xsbench.small|llc_x2|lru",
+                "xsbench.small|llc_x2|srrip"
+            ]
+        );
+
+        write_champsim(&source, 100);
+        let resumed = Campaign::new(spec.clone()).threads(2).journal(&journal).run().unwrap();
+        assert_eq!((resumed.cells_total, resumed.cells_resumed), (8, 4));
+        let fresh = Campaign::new(spec).threads(2).run().unwrap();
+        assert_eq!(resumed.report.to_json_string(), fresh.report.to_json_string());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn the_pipeline_holds_two_bands_and_commits_in_grid_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        /// A fake band that counts how many are alive.
+        struct Fake<'a> {
+            index: usize,
+            alive: &'a AtomicUsize,
+        }
+        impl Drop for Fake<'_> {
+            fn drop(&mut self) {
+                self.alive.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+
+        // Band 0's only job waits until all three jobs of band 1 have
+        // finished, so the later band finishes first; band 3 is fully
+        // journaled (no jobs).
+        let jobs = [1, 3, 2, 0, 4, 1, 2];
+        let (alive, most_alive) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let (band1_done, wait_band1) = std::sync::mpsc::channel();
+        let wait_band1 = Mutex::new(wait_band1);
+        let finished = Mutex::new(Vec::new());
+        let mut commits = Vec::new();
+        run_pipelined(
+            jobs.len(),
+            3,
+            |b| {
+                let now = alive.fetch_add(1, Ordering::SeqCst) + 1;
+                most_alive.fetch_max(now, Ordering::SeqCst);
+                Ok((Fake { index: b, alive: &alive }, jobs[b]))
+            },
+            |band, j| {
+                if band.index == 0 {
+                    let wait = wait_band1.lock().unwrap();
+                    (0..jobs[1]).for_each(|_| wait.recv().unwrap());
+                }
+                finished.lock().unwrap().push(band.index);
+                if band.index == 1 {
+                    band1_done.send(()).unwrap();
+                }
+                Ok((band.index, j))
+            },
+            |b, band, results, _| {
+                assert_eq!(band.index, b);
+                assert_eq!(results, (0..jobs[b]).map(|j| (b, j)).collect::<Vec<_>>());
+                commits.push(b);
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(commits, [0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(most_alive.load(Ordering::SeqCst), LIVE_BANDS);
+        assert_eq!(alive.load(Ordering::SeqCst), 0);
+        assert_eq!(finished.into_inner().unwrap()[..4], [1, 1, 1, 0]);
+    }
+
+    #[test]
+    fn the_pipeline_commits_only_the_bands_before_a_failure() {
+        let mut commits = Vec::new();
+        let err = run_pipelined(
+            6,
+            2,
+            |b| Ok((b, 2)),
+            // Band 3 may fail first; the lowest-indexed failure wins.
+            |&b, j| if (b, j) == (2, 1) || b == 3 { Err(format!("job {b}.{j}")) } else { Ok(()) },
+            |b, _, _, _| {
+                commits.push(b);
+                Ok(())
+            },
+        )
+        .unwrap_err();
+        assert_eq!((err.as_str(), commits.as_slice()), ("job 2.1", [0, 1].as_slice()));
+    }
+
+    #[test]
+    #[should_panic(expected = "a scoped thread panicked")]
+    fn a_panicking_job_propagates_instead_of_hanging() {
+        let _ = run_pipelined(
+            3,
+            2,
+            |b| Ok((b, 1)),
+            |&b, _| if b == 1 { panic!("job panicked") } else { Ok(()) },
+            |_, _, _, _| Ok(()),
+        );
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -1084,15 +1499,9 @@ mod tests {
 
     #[test]
     fn external_trace_workload_runs_without_a_cache() {
-        use ccsim_ingest::champsim::{ChampSimRecord, ChampSimWriter};
         let dir = temp_dir("ext_nocache");
         let source = dir.join("mini.champsim");
-        let mut w = ChampSimWriter::new(std::fs::File::create(&source).unwrap());
-        for i in 0..200u64 {
-            w.write(&ChampSimRecord::nonmem(0x400 + 4 * i)).unwrap();
-            w.write(&ChampSimRecord::load(0x600 + 4 * i, 0x10000 + 64 * (i % 32))).unwrap();
-        }
-        drop(w);
+        write_champsim(&source, 200);
         let selector = format!("trace:{}", source.display());
         let spec = CampaignSpec::from_json_str(&format!(
             r#"{{"name": "ext", "base_config": "tiny",

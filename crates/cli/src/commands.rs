@@ -74,10 +74,12 @@ results instead of the table.
 generated once into a content-addressed cache, every completed cell is
 checkpointed to <out>/journal.jsonl so an interrupted campaign resumes
 where it stopped (`--fresh` discards the journal), and the report is
-written to <out>/report.json and <out>/report.csv. Each workload's
-pending cells replay in one lockstep pass over its trace by default
-(one decode feeds every cell); `--per-cell` restores one independent
-pass per cell — the reports are byte-identical either way. `--dry-run` prints
+written to <out>/report.json and <out>/report.csv. The next workload's
+trace is read while this one's cells replay. An in-memory trace runs
+one job per cell; a streamed `trace:` file runs one lockstep pass per
+thread (one decode feeds several cells), and `--per-cell` gives it one
+pass per cell instead — the reports are byte-identical either way and
+at any thread count. `--dry-run` prints
 the resolved grid and each cell's predicted fate (journaled /
 cached-trace / needs-trace) without simulating anything; with
 `--shared-dir` it reads that distributed directory instead — merged

@@ -398,6 +398,8 @@ mod tests {
         assert_eq!(c.occupancy(), 2);
     }
 
+    // The check is a `debug_assert!`, so release-profile tests skip it.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "fill of resident block")]
     fn double_fill_rejected_in_debug() {
